@@ -4,9 +4,10 @@ This is the profile-first half of the "hardware-speed core" change
 (docs/PERFORMANCE.md): run a representative federation workload --
 cross-domain discovery over the simulated network plus explicit wire
 round-trips and cold proof validations -- under ``cProfile``, once with
-the seed implementation (``fastcore.disabled()``) and once with the
-fast core, and emit the top-20 functions of each arm (by cumulative
-and by internal time) as a schema-v1 trajectory file.
+the seed implementation swapped in (``tests/oracles/seed_arms.py``) and
+once with the production core, and emit the top-20 functions of each
+arm (by cumulative and by internal time) as a schema-v1 trajectory
+file.
 
 The seed profile is what motivated the rewrite: its top of the table
 is the 4-bit window ladder, the per-verification batch inversions, the
@@ -32,12 +33,15 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     os.pardir, "src"))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 
 import _emit                                             # noqa: E402
 
 from repro.core.proof import Proof, validate_proof       # noqa: E402
-from repro.crypto import encoding, fastcore, verify_cache  # noqa: E402
+from repro.crypto import encoding, verify_cache          # noqa: E402
 from repro.workloads import build_distributed_federation  # noqa: E402
+from tests.oracles.seed_arms import seed_arms            # noqa: E402
 
 OUTPUT = "PROFILE_hotspots.json"
 TOP_N = 20
@@ -161,7 +165,7 @@ def run(quick: bool, output: str, metrics_out=None) -> int:
     domains = 3 if quick else 4
     rounds = 2 if quick else 6
 
-    with fastcore.disabled():
+    with seed_arms():
         seed_arm = _profile_arm(domains, rounds)
     fast_arm = _profile_arm(domains, rounds)
 

@@ -20,19 +20,16 @@ wins:
   ``s*G - e*P`` and for batch verification -- all scalars share one run
   of doublings, the secp256k1 GLV endomorphism
   (``lambda*(x, y) = (beta*x, y)``) halves each scalar to ~128 bits so
-  the shared ladder is half as tall, and (fast path) width-5 wNAF
-  recoding drops the addition density from 15/16 per 4 bits to ~1/6 per
-  bit while all precomputed odd-multiple rows for one call share a
-  single Montgomery-batched inversion;
-* **plain double-and-add** (:func:`scalar_mult_plain`) as the
-  independent reference implementation the optimized paths are tested
-  against.
+  the shared ladder is half as tall, and width-5 wNAF recoding keeps
+  the addition density near 1/6 per bit while all precomputed
+  odd-multiple rows for one call share a single Montgomery-batched
+  inversion;
+* **plain double-and-add** (:func:`scalar_mult_plain`) for cold points,
+  and the independent reference the other layers are tested against.
 
-The wNAF ladder, the comb cache, and the :meth:`Point.decode` intern
-pool are gated by :mod:`repro.crypto.fastcore`; with the switch off,
-the seed code paths run unchanged. Either way the results are
-identical group elements (asserted by ``tests/crypto/test_fastcore.py``
-against :func:`scalar_mult_plain`).
+The seed 4-bit joint ladder these replaced lives on as a test oracle
+(``tests/oracles/seed_ec.py``); the property tests hold both to
+:func:`scalar_mult_plain`.
 
 Curve: y^2 = x^3 + 7 over F_p with the standard secp256k1 parameters.
 """
@@ -40,8 +37,6 @@ Curve: y^2 = x^3 + 7 over F_p with the standard secp256k1 parameters.
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-from repro.crypto import fastcore
 
 # secp256k1 domain parameters.
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -94,7 +89,7 @@ class Point:
         Decompression costs a modular square root (~150us), and wire
         payloads repeat the same handful of issuer keys and signature
         nonce points, so successfully decoded points are interned in a
-        bounded pool keyed by the exact input bytes (fast path only).
+        bounded pool keyed by the exact input bytes.
         """
         if not isinstance(data, bytes):
             if not isinstance(data, (bytearray, memoryview)):
@@ -109,10 +104,9 @@ class Point:
             if len(data) > 33 and data[0] in (2, 3):
                 raise ECError("trailing bytes after compressed point")
             raise ECError("invalid compressed point encoding")
-        if fastcore.enabled():
-            cached = _point_intern.get(data)
-            if cached is not None:
-                return cached
+        cached = _point_intern.get(data)
+        if cached is not None:
+            return cached
         x = int.from_bytes(data[1:], "big")
         if x >= P:
             raise ECError("x coordinate out of range")
@@ -123,10 +117,9 @@ class Point:
         if (y & 1) != (data[0] & 1):
             y = P - y
         point = Point(x, y)
-        if fastcore.enabled():
-            if len(_point_intern) >= _POINT_INTERN_LIMIT:
-                _point_intern.pop(next(iter(_point_intern)))
-            _point_intern[data] = point
+        if len(_point_intern) >= _POINT_INTERN_LIMIT:
+            _point_intern.pop(next(iter(_point_intern)))
+        _point_intern[data] = point
         return point
 
 
@@ -316,13 +309,13 @@ _TABLE_BUILD_THRESHOLD = 3
 _table_cache: dict = {}
 _use_counts: dict = {}
 
-# Small per-point affine rows ([1..15] * P) used by the joint ladders
+# Small per-point affine rows ([1..15] * P) used by the joint ladder
 # for points that are not (yet) hot enough for a full window table.
 # Bounded FIFO for the same reason as the table cache above.
 _ROW_CACHE_LIMIT = 1024
 _row_cache: dict = {}
 
-# Decoded-point intern pool (fast path): wire payloads repeat the same
+# Decoded-point intern pool: wire payloads repeat the same
 # issuer keys and nonce points; interning skips the ~150us square root
 # on every repeat. Keyed by the exact 33 encoded bytes, so two inputs
 # share an entry only when they are literally the same encoding.
@@ -358,28 +351,6 @@ def _table_for(point: Point):
         _table_cache.pop(next(iter(_table_cache)))
     _table_cache[key] = table
     return table
-
-
-def _affine_row(point: Point) -> List[_Affine]:
-    """``[None, 1*P, 2*P, ..., 15*P]`` as affine entries (one inversion)."""
-    key = (point.x, point.y)
-    table = _table_cache.get(key)
-    if table is not None:
-        return table.windows[0]
-    row = _row_cache.get(key)
-    if row is not None:
-        return row
-    base = _to_jacobian(point)
-    jacobians: List[_Jacobian] = []
-    accum = base
-    for _digit in range(1, 16):
-        jacobians.append(accum)
-        accum = _jacobian_add(accum, base)
-    row = [None] + _batch_to_affine(jacobians)
-    if len(_row_cache) >= _ROW_CACHE_LIMIT:
-        _row_cache.pop(next(iter(_row_cache)))
-    _row_cache[key] = row
-    return row
 
 
 class _CombTable:
@@ -479,10 +450,9 @@ def scalar_mult(scalar: int, point: Point = GENERATOR) -> Point:
     scalar %= N
     if scalar == 0 or point.is_infinity:
         return INFINITY
-    if fastcore.enabled():
-        comb = _comb_for(point)
-        if comb is not None:
-            return comb.mult(scalar)
+    comb = _comb_for(point)
+    if comb is not None:
+        return comb.mult(scalar)
     table = _table_for(point)
     if table is None:
         return scalar_mult_plain(scalar, point)
@@ -490,7 +460,9 @@ def scalar_mult(scalar: int, point: Point = GENERATOR) -> Point:
 
 
 def scalar_mult_plain(scalar: int, point: Point = GENERATOR) -> Point:
-    """Table-free double-and-add; reference implementation for tests."""
+    """Table-free double-and-add: the cold-point path of
+    :func:`scalar_mult`, and the reference the other layers are tested
+    against."""
     scalar %= N
     if scalar == 0 or point.is_infinity:
         return INFINITY
@@ -550,61 +522,16 @@ def _signed_pair(scalar: int, row: List[_Affine]
     return scalar, row
 
 
-def _ladder_pairs(scalar: int, point: Point
-                  ) -> List[Tuple[int, List[_Affine]]]:
-    """Decompose ``scalar * point`` into joint-ladder (scalar, row) pairs.
-
-    Scalars short enough already (<= ~130 bits: batch-verification
-    random coefficients) skip the GLV split.
-    """
-    scalar %= N
-    if scalar == 0 or point.is_infinity:
-        return []
-    row = _affine_row(point)
-    if scalar.bit_length() <= 130:
-        return [(scalar, row)]
-    k1, k2 = _glv_split(scalar)
-    pairs = []
-    first = _signed_pair(k1, row)
-    if first is not None:
-        pairs.append(first)
-    second = _signed_pair(k2, _beta_row(row))
-    if second is not None:
-        pairs.append(second)
-    return pairs
-
-
-def _joint_ladder(pairs: List[Tuple[int, List[_Affine]]]) -> _Jacobian:
-    """Strauss/Shamir interleaving: one shared run of doublings, 4-bit
-    windows per scalar, mixed additions from affine rows."""
-    if not pairs:
-        return _J_INFINITY
-    windows = (max(scalar.bit_length() for scalar, _row in pairs) + 3) // 4
-    result: _Jacobian = _J_INFINITY
-    double = _jacobian_double
-    add_affine = _jacobian_add_affine
-    for index in range(windows - 1, -1, -1):
-        if result[2] != 0:
-            result = double(double(double(double(result))))
-        shift = index << 2
-        for scalar, row in pairs:
-            digit = (scalar >> shift) & 0xF
-            if digit:
-                entry = row[digit]
-                result = add_affine(result, entry[0], entry[1])
-    return result
-
-
-# -- wNAF fast path ----------------------------------------------------------
+# -- wNAF joint ladder -------------------------------------------------------
 #
 # Width-5 non-adjacent form: every scalar is recoded into signed odd
 # digits in {+-1, +-3, ..., +-15} with at least 4 zeros between nonzero
-# digits, so a 128-bit GLV half costs ~21 additions instead of the
-# 4-bit ladder's ~30, reusing the same [1..15]*P affine rows (negative
-# digits negate the entry inline -- a field subtraction, not a new
-# row). All rows a call needs are normalized together with ONE
-# Montgomery-batched inversion (:func:`_rows_for_batch`), so an entire
-# batch-verification equation shares a single ``pow(x, -1, P)``.
+# digits, so a 128-bit GLV half costs ~21 additions instead of a 4-bit
+# window ladder's ~30, using [1..15]*P affine rows (negative digits
+# negate the entry inline -- a field subtraction, not a new row). All
+# rows a call needs are normalized together with ONE Montgomery-batched
+# inversion (:func:`_rows_for_batch`), so an entire batch-verification
+# equation shares a single ``pow(x, -1, P)``.
 
 
 def _wnaf_digits(scalar: int, width: int = 5) -> List[int]:
@@ -632,8 +559,8 @@ def _rows_for_batch(points: Sequence[Point]) -> List[List[_Affine]]:
 
     Cached rows (and window-table rows, which subsume them) are reused;
     the remaining points' 14 chain additions each are normalized in a
-    single :func:`_batch_to_affine` call, then cached under the same
-    bound/eviction as :func:`_affine_row`.
+    single :func:`_batch_to_affine` call, then cached in the bounded
+    FIFO ``_row_cache``.
     """
     rows: List[Optional[List[_Affine]]] = [None] * len(points)
     missing: List[int] = []
@@ -709,10 +636,10 @@ def _joint_wnaf(pairs: List[Tuple[int, List[_Affine]]]) -> _Jacobian:
     return result
 
 
-def _multi_scalar_mult_fast(scaled: List[Tuple[int, Point]]) -> _Jacobian:
-    """Fast-path core of :func:`multi_scalar_mult`: comb and window
-    tables where available, one shared wNAF ladder (and one shared row
-    inversion) for everything still cold."""
+def _multi_scalar_mult_jac(scaled: List[Tuple[int, Point]]) -> _Jacobian:
+    """Core of :func:`multi_scalar_mult`: comb and window tables where
+    available, one shared wNAF ladder (and one shared row inversion)
+    for everything still cold."""
     result: _Jacobian = _J_INFINITY
     cold: List[Tuple[int, Point]] = []
     for scalar, point in scaled:
@@ -751,15 +678,7 @@ def double_scalar_mult(a: int, p: Point, b: int, q: Point) -> Point:
         return scalar_mult(b, q)
     if b == 0 or q.is_infinity:
         return scalar_mult(a, p)
-    if fastcore.enabled():
-        return _from_jacobian(_multi_scalar_mult_fast([(a, p), (b, q)]))
-    table_p = _table_for(p)
-    table_q = _table_for(q)
-    if table_p is not None and table_q is not None:
-        return _from_jacobian(_jacobian_add(table_p.mult_jac(a),
-                                            table_q.mult_jac(b)))
-    pairs = _ladder_pairs(a, p) + _ladder_pairs(b, q)
-    return _from_jacobian(_joint_ladder(pairs))
+    return _from_jacobian(_multi_scalar_mult_jac([(a, p), (b, q)]))
 
 
 def _jacobian_equals_affine(point: _Jacobian, expected: Point) -> bool:
@@ -782,10 +701,9 @@ def double_scalar_mult_equals(a: int, p: Point, b: int, q: Point,
     """Return ``a*p + b*q == expected`` without materializing the sum.
 
     The Schnorr verification equation only needs equality against the
-    signature's R point, so on the fast path the comparison happens in
-    Jacobian coordinates and the final modular inversion of
-    :func:`_from_jacobian` is skipped entirely. The seed path computes
-    the affine sum and compares, bit-for-bit the historical behavior.
+    signature's R point, so the comparison happens in Jacobian
+    coordinates and the final modular inversion of
+    :func:`_from_jacobian` is skipped entirely.
     """
     a %= N
     b %= N
@@ -793,10 +711,8 @@ def double_scalar_mult_equals(a: int, p: Point, b: int, q: Point,
         return scalar_mult(b, q) == expected
     if b == 0 or q.is_infinity:
         return scalar_mult(a, p) == expected
-    if fastcore.enabled():
-        return _jacobian_equals_affine(
-            _multi_scalar_mult_fast([(a, p), (b, q)]), expected)
-    return double_scalar_mult(a, p, b, q) == expected
+    return _jacobian_equals_affine(
+        _multi_scalar_mult_jac([(a, p), (b, q)]), expected)
 
 
 def _merged_terms(terms: Sequence[Tuple[int, Point]]
@@ -826,13 +742,9 @@ def multi_scalar_mult_is_infinity(
 
     Batch verification only needs to know whether the combined check
     sums to the identity; in Jacobian coordinates that is ``Z == 0``,
-    so the fast path skips :func:`_from_jacobian` for the whole batch.
-    The seed path materializes the affine sum, as it always did.
+    so :func:`_from_jacobian` is skipped for the whole batch.
     """
-    if fastcore.enabled():
-        scaled = _merged_terms(terms)
-        return _multi_scalar_mult_fast(scaled)[2] == 0
-    return multi_scalar_mult(terms) == INFINITY
+    return _multi_scalar_mult_jac(_merged_terms(terms))[2] == 0
 
 
 def multi_scalar_mult(terms: Sequence[Tuple[int, Point]]) -> Point:
@@ -842,23 +754,10 @@ def multi_scalar_mult(terms: Sequence[Tuple[int, Point]]) -> Point:
     points are merged first (one wallet-load batch typically re-uses a
     handful of issuer keys), points with comb or window tables are
     handled by table multiplication, and everything else shares a
-    single GLV-halved ladder -- width-5 wNAF with one batched row
-    inversion on the fast path, 4-bit windows otherwise.
+    single GLV-halved width-5 wNAF ladder with one batched row
+    inversion.
     """
-    scaled = _merged_terms(terms)
-    if fastcore.enabled():
-        return _from_jacobian(_multi_scalar_mult_fast(scaled))
-    pairs: List[Tuple[int, List[_Affine]]] = []
-    result: _Jacobian = _J_INFINITY
-    for scalar, point in scaled:
-        table = _table_for(point)
-        if table is not None:
-            result = _jacobian_add(result, table.mult_jac(scalar))
-        else:
-            pairs.extend(_ladder_pairs(scalar, point))
-    if pairs:
-        result = _jacobian_add(result, _joint_ladder(pairs))
-    return _from_jacobian(result)
+    return _from_jacobian(_multi_scalar_mult_jac(_merged_terms(terms)))
 
 
 def is_valid_scalar(scalar: int) -> bool:

@@ -28,23 +28,20 @@ Wire grammar (one leading type byte each)::
     L <count:u32> <items...>    -> list
     M <count:u32> (<key str item> <value item>)... -> dict
 
-All lengths and counts are unsigned 32-bit big-endian.
+All lengths and counts are unsigned 32-bit big-endian. Lists and maps
+nest at most :data:`MAX_NESTING` deep, so a hostile payload is refused
+with :class:`EncodingError` rather than exhausting the interpreter
+stack.
 
-Two implementations share this grammar:
-
-* the **seed** encoder/decoder (``_encode_into`` / ``_decode_at``) --
-  list-of-chunks encode, full-buffer-copy decode; kept verbatim as the
-  reference arm;
-* the **fast** codec, selected by :mod:`repro.crypto.fastcore` --
-  encodes into one growing ``bytearray`` (no chunk list, no final
-  join-of-hundreds), decodes straight off the caller's buffer (a
-  ``memoryview`` when the input is not already ``bytes``, so network
-  buffers are never copied wholesale), and interns short string atoms
-  (role names, namespaces, map keys) in a bounded pool so the same
-  ``"delegations"`` key is one shared object across every credential a
-  wallet ever decodes. Byte-for-byte identical output is asserted by
-  ``tests/crypto/test_fastcore.py`` and gated in
-  ``benchmarks/bench_crypto_fastpath.py``.
+The encoder writes into one growing ``bytearray`` (no chunk list, no
+final join-of-hundreds). The decoder reads straight off the caller's
+buffer (a ``memoryview`` when the input is not already ``bytes``, so
+network buffers are never copied wholesale) and interns short string
+atoms (role names, namespaces, map keys) in a bounded pool, so the same
+``"delegations"`` key is one shared object across every credential a
+wallet ever decodes. The simpler seed codec lives on as a test oracle
+(``tests/oracles/seed_codec.py``); the property tests hold this one to
+it byte for byte and error for error.
 
 Call/byte tallies and the intern hit rate live in the process-wide
 :mod:`repro.obs` registry (``drbac_codec_*_total``); see
@@ -53,10 +50,9 @@ Call/byte tallies and the intern hit rate live in the process-wide
 
 import math
 import struct
-from typing import Any, List, Tuple
+from typing import Any, Tuple
 
 from repro import obs
-from repro.crypto import fastcore
 
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
@@ -65,7 +61,14 @@ _F64 = struct.Struct(">d")
 # driving allocation; dRBAC delegations are small (a few KB).
 MAX_ENCODED_SIZE = 16 * 1024 * 1024
 
-# String-atom intern pool (fast decode path): role names, namespaces,
+# Deepest list/map nesting either direction accepts. The deepest value
+# the system produces is a proof wire dict inside an RPC envelope: a
+# proof nests 7 deep plus 3 per support level, and validation stops at
+# MAX_SUPPORT_DEPTH (16) levels, so about 60 with the envelope. The
+# bound keeps recursion well inside the interpreter's default limit.
+MAX_NESTING = 128
+
+# String-atom intern pool (decode side): role names, namespaces,
 # and map keys repeat across every credential on the wire, so short
 # strings are pooled keyed by their UTF-8 bytes. Bounded FIFO like the
 # EC point caches; atoms longer than the cap are decoded directly.
@@ -115,20 +118,11 @@ class EncodingError(ValueError):
 
 def canonical_encode(value: Any) -> bytes:
     """Encode ``value`` into its unique canonical byte representation."""
-    if fastcore.enabled():
-        buf = bytearray()
-        _fast_encode(value, buf)
-        if len(buf) > MAX_ENCODED_SIZE:
-            raise EncodingError(
-                f"encoded payload too large: {len(buf)} bytes")
-        encoded = bytes(buf)
-    else:
-        out: List[bytes] = []
-        _encode_into(value, out)
-        encoded = b"".join(out)
-        if len(encoded) > MAX_ENCODED_SIZE:
-            raise EncodingError(
-                f"encoded payload too large: {len(encoded)} bytes")
+    buf = bytearray()
+    _fast_encode(value, buf)
+    if len(buf) > MAX_ENCODED_SIZE:
+        raise EncodingError(f"encoded payload too large: {len(buf)} bytes")
+    encoded = bytes(buf)
     _c_encodes.inc()
     _c_encoded_bytes.inc(len(encoded))
     return encoded
@@ -143,31 +137,20 @@ def canonical_decode(data: bytes) -> Any:
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise EncodingError(f"expected bytes, got {type(data).__name__}")
-    if fastcore.enabled():
-        if type(data) is bytes:
-            buf = data
-        else:
-            try:
-                buf = memoryview(data).cast("B")
-            except (ValueError, TypeError):
-                buf = bytes(data)
-        size = len(buf)
-        if size > MAX_ENCODED_SIZE:
-            raise EncodingError(f"payload too large: {size} bytes")
-        _c_decodes.inc()
-        _c_decoded_bytes.inc(size)
-        value, offset = _fast_decode_at(buf, 0, size)
-        if offset != size:
-            raise EncodingError(
-                f"trailing bytes after value at offset {offset}")
-        return value
-    buf = bytes(data)
-    if len(buf) > MAX_ENCODED_SIZE:
-        raise EncodingError(f"payload too large: {len(buf)} bytes")
+    if type(data) is bytes:
+        buf = data
+    else:
+        try:
+            buf = memoryview(data).cast("B")
+        except (ValueError, TypeError):
+            buf = bytes(data)
+    size = len(buf)
+    if size > MAX_ENCODED_SIZE:
+        raise EncodingError(f"payload too large: {size} bytes")
     _c_decodes.inc()
-    _c_decoded_bytes.inc(len(buf))
-    value, offset = _decode_at(buf, 0)
-    if offset != len(buf):
+    _c_decoded_bytes.inc(size)
+    value, offset = _fast_decode_at(buf, 0, size)
+    if offset != size:
         raise EncodingError(f"trailing bytes after value at offset {offset}")
     return value
 
@@ -178,7 +161,7 @@ def codec_info() -> dict:
     misses = _c_intern_misses.value
     lookups = hits + misses
     return {
-        "fast": fastcore.enabled(),
+        "fast": True,
         "encodes": _c_encodes.value,
         "encoded_bytes": _c_encoded_bytes.value,
         "decodes": _c_decodes.value,
@@ -190,191 +173,16 @@ def codec_info() -> dict:
     }
 
 
-# -- seed implementation (reference arm) -------------------------------------
+# -- codec (single-buffer encode, zero-copy decode) --------------------------
 
 
-def _encode_into(value: Any, out: List[bytes]) -> None:
-    if value is None:
-        out.append(b"N")
-    elif value is True:
-        out.append(b"T")
-    elif value is False:
-        out.append(b"F")
-    elif isinstance(value, int):
-        _encode_int(value, out)
-    elif isinstance(value, float):
-        _encode_float(value, out)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(b"S")
-        out.append(_U32.pack(len(raw)))
-        out.append(raw)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        raw = bytes(value)
-        out.append(b"B")
-        out.append(_U32.pack(len(raw)))
-        out.append(raw)
-    elif isinstance(value, (list, tuple)):
-        out.append(b"L")
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            _encode_into(item, out)
-    elif isinstance(value, dict):
-        _encode_dict(value, out)
-    else:
-        raise EncodingError(
-            f"type {type(value).__name__} has no canonical encoding"
-        )
-
-
-def _encode_int(value: int, out: List[bytes]) -> None:
-    # Sign is carried in the magnitude encoding: we store the value offset
-    # into the non-negative range using zig-zag so that each integer has a
-    # single minimal-length representation.
-    zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
-    length = max(1, (zigzag.bit_length() + 7) // 8)
-    out.append(b"I")
-    out.append(_U32.pack(length))
-    out.append(zigzag.to_bytes(length, "big"))
-
-
-def _encode_float(value: float, out: List[bytes]) -> None:
-    if math.isnan(value):
-        raise EncodingError("NaN has no canonical encoding")
-    # Normalize -0.0 to 0.0 so equal values share one encoding.
-    if value == 0.0:
-        value = 0.0
-    out.append(b"D")
-    out.append(_F64.pack(value))
-
-
-def _encode_dict(value: dict, out: List[bytes]) -> None:
-    items: List[Tuple[bytes, Any]] = []
-    for key, item in value.items():
-        if not isinstance(key, str):
-            raise EncodingError("canonical maps require string keys")
-        items.append((key.encode("utf-8"), item))
-    items.sort(key=lambda pair: pair[0])
-    for index in range(1, len(items)):
-        if items[index][0] == items[index - 1][0]:
-            raise EncodingError("duplicate map key after UTF-8 encoding")
-    out.append(b"M")
-    out.append(_U32.pack(len(items)))
-    for raw_key, item in items:
-        out.append(b"S")
-        out.append(_U32.pack(len(raw_key)))
-        out.append(raw_key)
-        _encode_into(item, out)
-
-
-def _decode_at(buf: bytes, offset: int) -> Tuple[Any, int]:
-    if offset >= len(buf):
-        raise EncodingError("truncated payload")
-    tag = buf[offset:offset + 1]
-    offset += 1
-    if tag == b"N":
-        return None, offset
-    if tag == b"T":
-        return True, offset
-    if tag == b"F":
-        return False, offset
-    if tag == b"I":
-        return _decode_int(buf, offset)
-    if tag == b"D":
-        return _decode_float(buf, offset)
-    if tag == b"S":
-        raw, offset = _decode_blob(buf, offset)
-        try:
-            return raw.decode("utf-8"), offset
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"invalid UTF-8 in string: {exc}") from exc
-    if tag == b"B":
-        return _decode_blob(buf, offset)
-    if tag == b"L":
-        return _decode_list(buf, offset)
-    if tag == b"M":
-        return _decode_map(buf, offset)
-    raise EncodingError(f"unknown type tag {tag!r} at offset {offset - 1}")
-
-
-def _read_u32(buf: bytes, offset: int) -> Tuple[int, int]:
-    if offset + 4 > len(buf):
-        raise EncodingError("truncated length field")
-    (value,) = _U32.unpack_from(buf, offset)
-    return value, offset + 4
-
-
-def _decode_blob(buf: bytes, offset: int) -> Tuple[bytes, int]:
-    length, offset = _read_u32(buf, offset)
-    if offset + length > len(buf):
-        raise EncodingError("truncated blob")
-    return buf[offset:offset + length], offset + length
-
-
-def _decode_int(buf: bytes, offset: int) -> Tuple[int, int]:
-    length, offset = _read_u32(buf, offset)
-    if length == 0:
-        raise EncodingError("zero-length integer")
-    if offset + length > len(buf):
-        raise EncodingError("truncated integer")
-    raw = buf[offset:offset + length]
-    if length > 1 and raw[0] == 0:
-        raise EncodingError("non-minimal integer encoding")
-    zigzag = int.from_bytes(raw, "big")
-    value = (zigzag >> 1) if (zigzag & 1) == 0 else -((zigzag + 1) >> 1)
-    return value, offset + length
-
-
-def _decode_float(buf: bytes, offset: int) -> Tuple[float, int]:
-    if offset + 8 > len(buf):
-        raise EncodingError("truncated float")
-    (value,) = _F64.unpack_from(buf, offset)
-    if math.isnan(value):
-        raise EncodingError("NaN has no canonical encoding")
-    if value == 0.0 and buf[offset:offset + 8] != _F64.pack(0.0):
-        raise EncodingError("non-canonical zero")
-    return value, offset + 8
-
-
-def _decode_list(buf: bytes, offset: int) -> Tuple[list, int]:
-    count, offset = _read_u32(buf, offset)
-    items = []
-    for _ in range(count):
-        item, offset = _decode_at(buf, offset)
-        items.append(item)
-    return items, offset
-
-
-def _decode_map(buf: bytes, offset: int) -> Tuple[dict, int]:
-    count, offset = _read_u32(buf, offset)
-    result = {}
-    previous_key = None
-    for _ in range(count):
-        if offset >= len(buf) or buf[offset:offset + 1] != b"S":
-            raise EncodingError("map key must be a string")
-        raw_key, offset = _decode_blob(buf, offset + 1)
-        if previous_key is not None and raw_key <= previous_key:
-            raise EncodingError("map keys not in canonical order")
-        previous_key = raw_key
-        try:
-            key = raw_key.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"invalid UTF-8 in map key: {exc}") from exc
-        value, offset = _decode_at(buf, offset)
-        result[key] = value
-    return result, offset
-
-
-# -- fast codec (single-buffer encode, zero-copy decode) ---------------------
-
-
-def _fast_encode(value: Any, out: bytearray) -> None:
+def _fast_encode(value: Any, out: bytearray, depth: int = 0) -> None:
     """Append ``value``'s canonical encoding to ``out``.
 
     Exact-type dispatch ordered by measured frequency in delegation
-    payloads (str > dict > int > bytes > ...); anything unusual (str
-    subclasses, ``bytearray``, ``memoryview``) drops to the seed
-    encoder for identical bytes and identical errors.
+    payloads (str > dict > int > bytes > ...); subclasses and buffer
+    look-alikes (``bytearray``, ``memoryview``) take the ``isinstance``
+    arms at the end. ``depth`` counts the enclosing lists and maps.
     """
     kind = value.__class__
     if kind is str:
@@ -388,6 +196,8 @@ def _fast_encode(value: Any, out: bytearray) -> None:
                 _enc_strs[value] = enc
         out += enc
     elif kind is dict:
+        if depth >= MAX_NESTING:
+            raise EncodingError(f"nesting deeper than {MAX_NESTING}")
         items = []
         append = items.append
         for key, item in value.items():
@@ -410,9 +220,10 @@ def _fast_encode(value: Any, out: bytearray) -> None:
                     "duplicate map key after UTF-8 encoding")
         out += b"M"
         out += _U32.pack(len(items))
+        depth += 1
         for _raw_key, key_enc, item in items:
             out += key_enc
-            _fast_encode(item, out)
+            _fast_encode(item, out, depth)
     elif kind is int:
         enc = _SMALL_INT_ENC.get(value)
         if enc is not None:
@@ -432,10 +243,13 @@ def _fast_encode(value: Any, out: bytearray) -> None:
     elif value is None:
         out += b"N"
     elif kind is list or kind is tuple:
+        if depth >= MAX_NESTING:
+            raise EncodingError(f"nesting deeper than {MAX_NESTING}")
         out += b"L"
         out += _U32.pack(len(value))
+        depth += 1
         for item in value:
-            _fast_encode(item, out)
+            _fast_encode(item, out, depth)
     elif kind is float:
         if math.isnan(value):
             raise EncodingError("NaN has no canonical encoding")
@@ -443,38 +257,28 @@ def _fast_encode(value: Any, out: bytearray) -> None:
             value = 0.0
         out += b"D"
         out += _F64.pack(value)
+    elif isinstance(value, str):
+        raw = value.encode("utf-8")
+        out += b"S"
+        out += _U32.pack(len(raw))
+        out += raw
+    elif isinstance(value, int):
+        out += _int_encoding(value)
+    elif isinstance(value, float):
+        _fast_encode(float(value), out, depth)
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        _fast_encode(bytes(value), out, depth)
+    elif isinstance(value, (list, tuple)):
+        _fast_encode(list(value), out, depth)
+    elif isinstance(value, dict):
+        _fast_encode(dict(value.items()), out, depth)
     else:
-        # Subclasses and buffer look-alikes: the seed encoder owns the
-        # exact semantics (including which EncodingError fires).
-        parts: List[bytes] = []
-        _encode_into(value, parts)
-        out += b"".join(parts)
+        raise EncodingError(
+            f"type {type(value).__name__} has no canonical encoding")
 
 
 def _pair_key(pair: Tuple[bytes, ...]) -> bytes:
     return pair[0]
-
-
-def _intern_str(raw) -> str:
-    """The pooled ``str`` for UTF-8 bytes ``raw`` (short atoms only).
-
-    The hot ``S``/``M`` arms of :func:`_fast_decode_at` inline this
-    logic; this helper serves the cold paths and tests.
-    """
-    key = raw if raw.__class__ is bytes else bytes(raw)
-    cached = _atoms.get(key)
-    if cached is not None:
-        _c_intern_hits.inc()
-        return cached
-    try:
-        text = str(key, "utf-8")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"invalid UTF-8 in string: {exc}") from exc
-    _c_intern_misses.inc()
-    if len(_atoms) >= _ATOM_LIMIT:
-        _atoms.pop(next(iter(_atoms)))
-    _atoms[key] = text
-    return text
 
 
 # Bound-method aliases keep the per-atom accounting to one call each in
@@ -484,13 +288,14 @@ _intern_miss = _c_intern_misses.inc
 _atoms_get = _atoms.get
 
 
-def _fast_decode_at(buf, offset: int, end: int) -> Tuple[Any, int]:
+def _fast_decode_at(buf, offset: int, end: int,
+                    depth: int = 0) -> Tuple[Any, int]:
     """Decode one value from ``buf`` (bytes or a flat memoryview).
 
     Indexing yields ints for both input types, slices are zero-copy for
     memoryviews, and every ``bytes`` object materialized is one the
-    caller keeps (blob values, intern-pool keys) -- the seed path's
-    up-front whole-buffer copy and per-node tuple shuffling are gone.
+    caller keeps (blob values, intern-pool keys): there is no up-front
+    whole-buffer copy. ``depth`` counts the enclosing lists and maps.
     """
     if offset >= end:
         raise EncodingError("truncated payload")
@@ -527,12 +332,15 @@ def _fast_decode_at(buf, offset: int, end: int) -> Tuple[Any, int]:
         except UnicodeDecodeError as exc:
             raise EncodingError(f"invalid UTF-8 in string: {exc}") from exc
     if tag == 77:  # M
+        if depth >= MAX_NESTING:
+            raise EncodingError(f"nesting deeper than {MAX_NESTING}")
         if offset + 4 > end:
             raise EncodingError("truncated length field")
         (count,) = _U32.unpack_from(buf, offset)
         offset += 4
         result = {}
         previous_key = None
+        depth += 1
         for _ in range(count):
             if offset >= end or buf[offset] != 83:
                 raise EncodingError("map key must be a string")
@@ -563,7 +371,7 @@ def _fast_decode_at(buf, offset: int, end: int) -> Tuple[Any, int]:
                     if len(_atoms) >= _ATOM_LIMIT:
                         _atoms.pop(next(iter(_atoms)))
                     _atoms[raw_key] = key
-            value, offset = _fast_decode_at(buf, stop, end)
+            value, offset = _fast_decode_at(buf, stop, end, depth)
             result[key] = value
         return result, offset
     if tag == 73:  # I
@@ -592,14 +400,17 @@ def _fast_decode_at(buf, offset: int, end: int) -> Tuple[Any, int]:
         raw = buf[offset:stop]
         return (raw if raw.__class__ is bytes else bytes(raw)), stop
     if tag == 76:  # L
+        if depth >= MAX_NESTING:
+            raise EncodingError(f"nesting deeper than {MAX_NESTING}")
         if offset + 4 > end:
             raise EncodingError("truncated length field")
         (count,) = _U32.unpack_from(buf, offset)
         offset += 4
         items = []
         append = items.append
+        depth += 1
         for _ in range(count):
-            item, offset = _fast_decode_at(buf, offset, end)
+            item, offset = _fast_decode_at(buf, offset, end, depth)
             append(item)
         return items, offset
     if tag == 78:  # N

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.crypto import fastcore, rsa, schnorr, verify_cache
+from repro.crypto import rsa, schnorr, verify_cache
 from repro.crypto.hashing import sha256, sha256_hex
 
 DEFAULT_ALGORITHM = "schnorr-secp256k1"
@@ -32,7 +32,7 @@ class SignatureError(ValueError):
     """Raised on malformed keys, unknown algorithms, or bad signatures."""
 
 
-# Interned PublicKey instances (fast path): wire payloads and wallet
+# Interned PublicKey instances: wire payloads and wallet
 # snapshots repeat the same issuer/subject keys in every record, and
 # each construction re-validates (the Schnorr arm pays a modular square
 # root). The intern key is the COMPLETE content -- (algorithm, key
@@ -136,22 +136,28 @@ class PublicKey:
 
     @staticmethod
     def from_dict(data: dict) -> "PublicKey":
+        """Decode :meth:`to_dict` output; the key material must be the
+        ``bytes`` the canonical decoder yields, nothing convertible."""
         try:
             algorithm = data["algorithm"]
-            key_bytes = bytes(data["key"])
+            key_bytes = data["key"]
         except (KeyError, TypeError) as exc:
             raise SignatureError(f"malformed public key record: {exc}") from exc
-        if isinstance(algorithm, str) and fastcore.enabled():
-            intern_key = (algorithm, key_bytes)
-            cached = _pk_intern.get(intern_key)
-            if cached is not None:
-                return cached
-            key = PublicKey(algorithm=algorithm, key_bytes=key_bytes)
-            if len(_pk_intern) >= _PK_INTERN_LIMIT:
-                _pk_intern.pop(next(iter(_pk_intern)))
-            _pk_intern[intern_key] = key
-            return key
-        return PublicKey(algorithm=algorithm, key_bytes=key_bytes)
+        if type(key_bytes) is not bytes:
+            raise SignatureError(
+                f"public key material must be bytes, got "
+                f"{type(key_bytes).__name__}")
+        if not isinstance(algorithm, str):
+            raise SignatureError(f"unknown algorithm {algorithm!r}")
+        intern_key = (algorithm, key_bytes)
+        cached = _pk_intern.get(intern_key)
+        if cached is not None:
+            return cached
+        key = PublicKey(algorithm=algorithm, key_bytes=key_bytes)
+        if len(_pk_intern) >= _PK_INTERN_LIMIT:
+            _pk_intern.pop(next(iter(_pk_intern)))
+        _pk_intern[intern_key] = key
+        return key
 
 
 @dataclass(frozen=True)

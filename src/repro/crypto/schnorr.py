@@ -20,7 +20,7 @@ import secrets
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto import ec, fastcore
+from repro.crypto import ec
 from repro.crypto.hashing import hmac_sha256, sha256
 
 SIGNATURE_SIZE = 33 + 32  # compressed R point + 32-byte scalar s
@@ -57,7 +57,7 @@ class SchnorrPublicKey:
         textbook two-multiplication form), and the comparison against R
         happens in Jacobian coordinates
         (:func:`ec.double_scalar_mult_equals`), skipping the final
-        modular inversion on the fast path.
+        modular inversion.
         """
         parsed = _parse_signature(signature)
         if parsed is None:
@@ -193,7 +193,7 @@ def verify_batch(items: Sequence[BatchItem],
         q, r_point, s, e = parsed[0]
         return ec.double_scalar_mult_equals(
             s, ec.GENERATOR, ec.N - e, q, r_point)
-    if rng is None and fastcore.enabled():
+    if rng is None:
         # One entropy read for the whole batch instead of one syscall
         # per item. `or 1` keeps the coefficient nonzero; the 2**-64
         # extra mass on z == 1 is immaterial to the soundness bound.
@@ -203,8 +203,7 @@ def verify_batch(items: Sequence[BatchItem],
             for index in range(len(parsed))
         ]
     else:
-        rand = rng if rng is not None else secrets.SystemRandom()
-        coefficients = [rand.randrange(1, 1 << 64) for _ in parsed]
+        coefficients = [rng.randrange(1, 1 << 64) for _ in parsed]
     terms: List[Tuple[int, ec.Point]] = []
     s_combined = 0
     for (q, r_point, s, e), z in zip(parsed, coefficients):

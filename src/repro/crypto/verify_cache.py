@@ -21,9 +21,9 @@ Two rules keep the memo invalidation-free by construction:
   Nothing mutable participates, so there is nothing to invalidate.
 
 The memo is a bounded LRU (default 8192 entries). Disable it globally
-with :func:`set_enabled` (the CLI's ``--no-crypto-cache``), with the
-``DRBAC_NO_CRYPTO_CACHE`` environment variable, or temporarily with the
-:func:`disabled` context manager; outcomes are identical either way,
+with :func:`set_enabled` (the CLI's ``--no-crypto-cache``), temporarily
+with the :func:`disabled` context manager, or per instance with
+``VerificationMemo(enabled=False)``; outcomes are identical either way,
 only latency changes (asserted by ``tests/crypto/test_verify_cache.py``).
 
 Scoping
@@ -39,7 +39,6 @@ Outside any scope the process-wide ``_MEMO`` default applies, so
 existing callers and the ``cache_info()`` contract are unchanged.
 """
 
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -141,8 +140,7 @@ class VerificationMemo:
         }
 
 
-_MEMO = VerificationMemo(
-    enabled=not os.environ.get("DRBAC_NO_CRYPTO_CACHE"))
+_MEMO = VerificationMemo()
 
 _SCOPED: "ContextVar[Optional[VerificationMemo]]" = ContextVar(
     "drbac_verify_memo", default=None)

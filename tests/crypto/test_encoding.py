@@ -1,3 +1,4 @@
+import enum
 import math
 
 import pytest
@@ -5,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.encoding import (
+    MAX_NESTING,
     EncodingError,
     canonical_decode,
     canonical_encode,
 )
+
+from tests.oracles import seed_codec
 
 
 class TestScalars:
@@ -127,6 +131,67 @@ _values = st.recursive(
 )
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Kind(str, enum.Enum):
+    ROLE = "role"
+    ENTITY = "entity"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 300
+
+
+# Values outside the exact-type dispatch: subclasses, enums, buffer
+# look-alikes, NaN, and types with no encoding at all.
+_odd_scalars = st.one_of(
+    _scalars,
+    st.text(max_size=20).map(_Str),
+    st.integers().map(_Int),
+    st.floats().map(_Float),
+    st.binary(max_size=20).map(bytearray),
+    st.binary(max_size=20).map(memoryview),
+    st.sampled_from(list(_Kind) + list(_Level)),
+    st.sampled_from([frozenset({1}), 1j, object()]),
+)
+_odd_values = st.recursive(
+    _odd_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(_List),
+        st.lists(children, max_size=4).map(_Tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+        st.dictionaries(st.text(max_size=8).map(_Str), children,
+                        max_size=4).map(_Dict),
+        st.dictionaries(st.integers(), children, min_size=1, max_size=2),
+    ),
+    max_leaves=20,
+)
+
+
 class TestProperties:
     @given(_values)
     @settings(max_examples=150, deadline=None)
@@ -152,17 +217,69 @@ class TestProperties:
     @given(_values)
     @settings(max_examples=150, deadline=None)
     def test_fast_arm_matches_seed_arm(self, value):
-        """The zero-copy fast codec is byte-identical to the seed
-        codec (the canonical bytes feed signatures), and the fast
-        decoder accepts memoryviews without changing the result."""
-        from repro.crypto import fastcore
-        with fastcore.disabled():
-            seed_encoded = canonical_encode(value)
-        with fastcore.forced():
-            fast_encoded = canonical_encode(value)
-            assert fast_encoded == seed_encoded
-            fast_decoded = canonical_decode(seed_encoded)
-            view_decoded = canonical_decode(memoryview(seed_encoded))
-        with fastcore.disabled():
-            seed_decoded = canonical_decode(seed_encoded)
+        """The zero-copy codec is byte-identical to the seed oracle
+        (the canonical bytes feed signatures), and the decoder accepts
+        memoryviews without changing the result."""
+        seed_encoded = seed_codec.encode(value)
+        assert canonical_encode(value) == seed_encoded
+        fast_decoded = canonical_decode(seed_encoded)
+        view_decoded = canonical_decode(memoryview(seed_encoded))
+        seed_decoded = seed_codec.decode(seed_encoded)
         assert fast_decoded == seed_decoded == view_decoded == value
+
+    @given(_odd_values)
+    @settings(max_examples=200, deadline=None)
+    def test_subclasses_and_buffers_match_seed_arm(self, value):
+        """Subclasses, enums, ``bytearray``/``memoryview`` and
+        unencodable values give the oracle's bytes, or its exact
+        EncodingError message."""
+        try:
+            expected = seed_codec.encode(value)
+        except EncodingError as exc:
+            with pytest.raises(EncodingError) as caught:
+                canonical_encode(value)
+            assert str(caught.value) == str(exc)
+        else:
+            assert canonical_encode(value) == expected
+
+
+def _nested(depth: int):
+    value = None
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestNestingBound:
+    def test_bound_admits_max_depth_exactly(self):
+        value = _nested(MAX_NESTING)
+        assert canonical_decode(canonical_encode(value)) == value
+        too_deep = _nested(MAX_NESTING + 1)
+        with pytest.raises(EncodingError, match="nesting"):
+            canonical_encode(too_deep)
+        with pytest.raises(EncodingError, match="nesting"):
+            canonical_decode(seed_codec.encode(too_deep))
+
+    def test_deep_list_decode_refused(self):
+        with pytest.raises(EncodingError, match="nesting"):
+            canonical_decode(b"L\x00\x00\x00\x01" * 10_000 + b"N")
+
+    def test_deep_map_decode_refused(self):
+        with pytest.raises(EncodingError, match="nesting"):
+            canonical_decode(
+                b"M\x00\x00\x00\x01S\x00\x00\x00\x01k" * 10_000 + b"N")
+
+    def test_deep_encode_refused(self):
+        with pytest.raises(EncodingError, match="nesting"):
+            canonical_encode(_nested(10_000))
+        deep_map = None
+        for _ in range(10_000):
+            deep_map = {"k": deep_map}
+        with pytest.raises(EncodingError, match="nesting"):
+            canonical_encode(deep_map)
+
+    def test_cyclic_value_refused(self):
+        cycle = []
+        cycle.append(cycle)
+        with pytest.raises(EncodingError, match="nesting"):
+            canonical_encode(cycle)

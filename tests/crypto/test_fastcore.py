@@ -1,10 +1,10 @@
 """Tests for the hardware-speed core: comb/wNAF scalar multiplication,
-the zero-copy codec, interning pools, and the fastcore switch.
+the zero-copy codec and the interning pools.
 
-Everything the fast path computes must equal the seed implementation
-exactly: points match ``scalar_mult_plain``, canonical bytes match the
-seed encoder byte for byte, and both arms stay available at runtime
-via :mod:`repro.crypto.fastcore`.
+Everything the production core computes must equal the seed
+implementation it replaced, which lives on in ``tests/oracles/``:
+points match ``scalar_mult_plain`` and the seed 4-bit joint ladder,
+and canonical bytes match the seed encoder byte for byte.
 """
 
 import threading
@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.delegation import Delegation
-from repro.crypto import ec, encoding, fastcore
+from repro.crypto import ec, encoding
 from repro.workloads import build_case_study
+
+from tests.oracles import seed_codec, seed_ec
 
 # Scalars at the edges the recodings are most likely to get wrong:
 # zero, tiny, window boundaries, the group order's neighbors (n reduces
@@ -43,32 +45,26 @@ def hot_point():
 class TestCombAndWnafCorrectness:
     @pytest.mark.parametrize("scalar", EDGE_SCALARS)
     def test_generator_comb_matches_plain_on_edges(self, scalar):
-        with fastcore.forced():
-            fast = ec.scalar_mult(scalar)
-        assert fast == ec.scalar_mult_plain(scalar % ec.N)
+        assert ec.scalar_mult(scalar) == ec.scalar_mult_plain(scalar % ec.N)
 
     @pytest.mark.parametrize("scalar", EDGE_SCALARS)
     def test_variable_base_matches_plain_on_edges(self, scalar,
                                                   hot_point):
-        with fastcore.forced():
-            fast = ec.scalar_mult(scalar, hot_point)
+        fast = ec.scalar_mult(scalar, hot_point)
         assert fast == ec.scalar_mult_plain(scalar % ec.N, hot_point)
 
     @given(st.integers(min_value=1, max_value=ec.N - 1))
     @settings(max_examples=20, deadline=None)
     def test_generator_comb_matches_plain(self, scalar):
-        with fastcore.forced():
-            assert ec.scalar_mult(scalar) == ec.scalar_mult_plain(scalar)
+        assert ec.scalar_mult(scalar) == ec.scalar_mult_plain(scalar)
 
     @given(st.integers(min_value=1, max_value=ec.N - 1),
            st.integers(min_value=1, max_value=ec.N - 1))
     @settings(max_examples=15, deadline=None)
     def test_double_scalar_mult_arms_agree(self, a, b):
         q = ec.scalar_mult(0xBEEF)
-        with fastcore.forced():
-            fast = ec.double_scalar_mult(a, ec.GENERATOR, b, q)
-        with fastcore.disabled():
-            seed = ec.double_scalar_mult(a, ec.GENERATOR, b, q)
+        fast = ec.double_scalar_mult(a, ec.GENERATOR, b, q)
+        seed = seed_ec.double_scalar_mult(a, ec.GENERATOR, b, q)
         assert fast == seed == ec.point_add(
             ec.scalar_mult_plain(a), ec.scalar_mult_plain(b, q))
 
@@ -78,10 +74,8 @@ class TestCombAndWnafCorrectness:
     def test_multi_scalar_mult_arms_agree(self, scalars):
         terms = [(scalar, ec.scalar_mult(index + 2))
                  for index, scalar in enumerate(scalars)]
-        with fastcore.forced():
-            fast = ec.multi_scalar_mult(terms)
-        with fastcore.disabled():
-            seed = ec.multi_scalar_mult(terms)
+        fast = ec.multi_scalar_mult(terms)
+        seed = seed_ec.multi_scalar_mult(terms)
         expected = ec.INFINITY
         for scalar, point in terms:
             expected = ec.point_add(expected,
@@ -94,19 +88,17 @@ class TestCombAndWnafCorrectness:
         q = ec.scalar_mult(0xF00D)
         expected = ec.point_add(ec.scalar_mult_plain(a),
                                 ec.scalar_mult_plain(a + 1, q))
-        for ctx in (fastcore.forced, fastcore.disabled):
-            with ctx():
-                assert ec.double_scalar_mult_equals(
-                    a, ec.GENERATOR, a + 1, q, expected)
-                assert not ec.double_scalar_mult_equals(
-                    a, ec.GENERATOR, a + 1, q, ec.GENERATOR)
+        for equals in (ec.double_scalar_mult_equals,
+                       seed_ec.double_scalar_mult_equals):
+            assert equals(a, ec.GENERATOR, a + 1, q, expected)
+            assert not equals(a, ec.GENERATOR, a + 1, q, ec.GENERATOR)
 
     def test_is_infinity_both_arms(self):
         terms = [(5, ec.GENERATOR), (ec.N - 5, ec.GENERATOR)]
-        for ctx in (fastcore.forced, fastcore.disabled):
-            with ctx():
-                assert ec.multi_scalar_mult_is_infinity(terms)
-                assert not ec.multi_scalar_mult_is_infinity(terms[:1])
+        for is_infinity in (ec.multi_scalar_mult_is_infinity,
+                            seed_ec.multi_scalar_mult_is_infinity):
+            assert is_infinity(terms)
+            assert not is_infinity(terms[:1])
 
     def test_wnaf_digits_reconstruct_scalar(self):
         for scalar in EDGE_SCALARS:
@@ -121,18 +113,16 @@ class TestCombAndWnafCorrectness:
 
 class TestCodecArms:
     def test_credential_tree_byte_identical(self):
-        """Real delegation/proof wire dicts encode identically in both
-        arms and survive a cross-arm round trip."""
+        """Real delegation wire dicts encode identically in production
+        and in the seed oracle, and survive a cross-arm round trip."""
         case = build_case_study()
         for delegation, _supports in case.all_delegations():
             wire = delegation.to_dict()
-            with fastcore.disabled():
-                seed_bytes = encoding.canonical_encode(wire)
-            with fastcore.forced():
-                fast_bytes = encoding.canonical_encode(wire)
-                decoded = encoding.canonical_decode(seed_bytes)
+            seed_bytes = seed_codec.encode(wire)
+            fast_bytes = encoding.canonical_encode(wire)
+            decoded = encoding.canonical_decode(seed_bytes)
             assert fast_bytes == seed_bytes
-            assert decoded == wire
+            assert decoded == seed_codec.decode(fast_bytes) == wire
             assert Delegation.from_dict(decoded).id == delegation.id
 
     def test_strict_errors_match_in_both_arms(self):
@@ -151,46 +141,43 @@ class TestCodecArms:
             unsorted,                               # unsorted map keys
         ]
         for data in bad_inputs:
-            for ctx in (fastcore.forced, fastcore.disabled):
-                with ctx():
-                    with pytest.raises(encoding.EncodingError):
-                        encoding.canonical_decode(data)
+            with pytest.raises(encoding.EncodingError) as fast:
+                encoding.canonical_decode(data)
+            with pytest.raises(encoding.EncodingError) as seed:
+                seed_codec.decode(data)
+            assert str(fast.value) == str(seed.value)
 
     def test_memoryview_decode_matches_bytes(self):
         wire = {"roles": ["admin", "member"], "depth": 3,
                 "blob": b"\x00" * 16}
         blob = encoding.canonical_encode(wire)
-        with fastcore.forced():
-            assert encoding.canonical_decode(memoryview(blob)) == wire
-            assert encoding.canonical_decode(bytearray(blob)) == wire
+        assert encoding.canonical_decode(memoryview(blob)) == wire
+        assert encoding.canonical_decode(bytearray(blob)) == wire
 
 
 class TestInternPools:
     def test_point_intern_returns_same_object(self):
         encoded = ec.scalar_mult(0xABCDEF).encode()
-        with fastcore.forced():
-            first = ec.Point.decode(encoded)
-            second = ec.Point.decode(encoded)
+        first = ec.Point.decode(encoded)
+        second = ec.Point.decode(encoded)
         assert first is second
+        assert seed_ec.point_decode(encoded) == first
 
     def test_point_intern_bounded(self):
-        with fastcore.forced():
-            for scalar in range(2, 60):
-                ec.Point.decode(ec.scalar_mult(scalar).encode())
+        for scalar in range(2, 60):
+            ec.Point.decode(ec.scalar_mult(scalar).encode())
         assert len(ec._point_intern) <= ec._POINT_INTERN_LIMIT
 
     def test_atom_pool_bounded(self):
-        with fastcore.forced():
-            for index in range(encoding._ATOM_LIMIT + 50):
-                encoding.canonical_decode(
-                    encoding.canonical_encode(f"atom-{index}"))
+        for index in range(encoding._ATOM_LIMIT + 50):
+            encoding.canonical_decode(
+                encoding.canonical_encode(f"atom-{index}"))
         assert len(encoding._atoms) <= encoding._ATOM_LIMIT
 
     def test_oversized_strings_not_interned(self):
         long_string = "x" * (encoding._ATOM_MAX_LEN + 1)
-        with fastcore.forced():
-            decoded = encoding.canonical_decode(
-                encoding.canonical_encode(long_string))
+        decoded = encoding.canonical_decode(
+            encoding.canonical_encode(long_string))
         assert decoded == long_string
         assert long_string not in encoding._atoms
 
@@ -212,29 +199,14 @@ class TestInternPools:
             early = {(p.x, p.y) for p in points[:2]}
             assert set(ec._comb_cache) == early
             # The frozen-out point still multiplies correctly.
-            with fastcore.forced():
-                assert ec.scalar_mult(7, points[-1]) == \
-                    ec.scalar_mult_plain(7, points[-1])
+            assert ec.scalar_mult(7, points[-1]) == \
+                ec.scalar_mult_plain(7, points[-1])
         finally:
             ec._comb_cache.clear()
             ec._comb_cache.update(saved)
 
 
-class TestFastcoreSwitch:
-    def test_env_and_context_managers(self):
-        original = fastcore.enabled()
-        try:
-            with fastcore.disabled():
-                assert not fastcore.enabled()
-                with fastcore.forced():
-                    assert fastcore.enabled()
-                assert not fastcore.enabled()
-            assert fastcore.enabled() == original
-            fastcore.set_enabled(False)
-            assert not fastcore.enabled()
-        finally:
-            fastcore.set_enabled(original)
-
+class TestConcurrency:
     def test_thread_safety_smoke(self):
         """Concurrent multiplications racing on cold points (table and
         comb builds included) all agree with the plain ladder."""

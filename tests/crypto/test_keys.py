@@ -65,6 +65,29 @@ class TestSerialization:
         with pytest.raises(SignatureError):
             PublicKey.from_dict({"algorithm": DEFAULT_ALGORITHM})
 
+    @pytest.mark.parametrize("material", [
+        "list", "bytearray", "int", "str", "memoryview"])
+    def test_key_material_must_be_bytes(self, keypair, material):
+        """Only the ``bytes`` the canonical decoder yields is key
+        material; convertible look-alikes are refused, and an int is
+        refused before ``bytes(n)`` could allocate n zero bytes."""
+        raw = keypair.public.key_bytes
+        forms = {
+            "list": list(raw),
+            "bytearray": bytearray(raw),
+            "int": 33,
+            "str": raw.hex(),
+            "memoryview": memoryview(raw),
+        }
+        record = {"algorithm": keypair.algorithm, "key": forms[material]}
+        with pytest.raises(SignatureError, match="must be bytes"):
+            PublicKey.from_dict(record)
+
+    def test_non_string_algorithm_rejected(self, keypair):
+        with pytest.raises(SignatureError, match="unknown algorithm"):
+            PublicKey.from_dict({"algorithm": ["schnorr-secp256k1"],
+                                 "key": keypair.public.key_bytes})
+
     def test_garbage_key_bytes_rejected(self):
         with pytest.raises(SignatureError):
             PublicKey(algorithm=DEFAULT_ALGORITHM, key_bytes=b"junk")

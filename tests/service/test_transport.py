@@ -132,3 +132,16 @@ def test_poison_mid_feed_drops_the_batch():
         decoder.feed(good + HEADER.pack(0))
     with pytest.raises(FrameError):
         decoder.feed(good)
+
+
+def test_deeply_nested_payload_is_a_frame_error():
+    """3000 nested one-item lists fit in one 15 KB frame, far under the
+    frame bound; the codec's nesting bound turns them into a typed
+    FrameError instead of a RecursionError escaping the server loop."""
+    payload = b"L\x00\x00\x00\x01" * 3000 + b"N"
+    assert len(payload) < DEFAULT_MAX_FRAME
+    decoder = FrameDecoder()
+    with pytest.raises(FrameError, match="nesting"):
+        decoder.feed(HEADER.pack(len(payload)) + payload)
+    with pytest.raises(FrameError):
+        decoder.feed(encode_frame({"op": "ping"}))
